@@ -50,8 +50,7 @@ let say fmt = Format.printf (fmt ^^ "@.")
    chaos seed derives one independent injector per pair (splitmix64 mixing
    of the pair index), so a batch's fault schedule does not depend on which
    worker domain picks up which job. *)
-let config_for ?(dynamic = false) ?(spec = 1) ?(chaos_sites = []) ~deadline ~chaos_seed idx
-    =
+let config_for ?(dynamic = false) ?(chaos_sites = []) ~deadline ~chaos_seed idx =
   let inject =
     match (chaos_sites, chaos_seed) with
     | [], None -> Faultinject.none
@@ -64,16 +63,7 @@ let config_for ?(dynamic = false) ?(spec = 1) ?(chaos_sites = []) ~deadline ~cha
           ~seed:(seed lxor (idx * 0x9E3779B9))
           ~rate:0.0 ~site_rates:chaos_sites ()
   in
-  { Octopocs.default_config with
-    dynamic_cfg = dynamic; deadline_s = deadline; inject; spec_jobs = spec }
-
-(* Speculation is silently forced off by the pipeline while provenance
-   collection is on (the evidence log must match a serial run); silently is
-   wrong for a user who typed both flags, so say it once, on stderr. *)
-let warn_spec_provenance ~spec ~provenance =
-  if spec > 1 && provenance then
-    Log.warn (fun m ->
-        m "speculation disabled under --provenance (--spec-jobs %d ignored)" spec)
+  { Octopocs.default_config with dynamic_cfg = dynamic; deadline_s = deadline; inject }
 
 (* A pair index from the command line is untrusted input: out-of-range or
    negative values get a one-line structured error and exit 2, never an
@@ -123,11 +113,11 @@ let pp_pair_metrics ~indent (m : Metrics.snapshot) =
   if pcts <> [] then say "%sp50/p90/p99: %s (ns)" indent (String.concat " " pcts);
   say "%scounters: %s" indent (Fmt.str "%a" Metrics.pp_counters m)
 
-let run_one ?(dynamic = false) ?deadline ?chaos_seed ?spec (c : Registry.case) :
+let run_one ?(dynamic = false) ?deadline ?chaos_seed (c : Registry.case) :
     Octopocs.report =
   say "Pair %d: S=%s(%s)  T=%s(%s)  %s [%s]" c.idx c.s.pname c.s_version c.t.pname c.t_version
     c.vuln_id c.cwe;
-  let config = config_for ~dynamic ?spec ~deadline ~chaos_seed c.idx in
+  let config = config_for ~dynamic ~deadline ~chaos_seed c.idx in
   let r = Octopocs.run ~config ~s:c.s ~t:c.t ~poc:c.poc () in
   say "  ep      : %s" r.ep;
   say "  ℓ       : %s" (String.concat ", " r.ell);
@@ -223,14 +213,6 @@ let dynamic_arg =
        & info [ "dynamic-cfg" ]
            ~doc:"Repair CFG-recovery failures with dynamic devirtualization")
 
-let spec_jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "spec-jobs" ] ~docv:"N"
-           ~doc:"Speculative loop-retry width for directed symbolic execution: run up \
-                 to $(docv)-1 predicted retry attempts ahead on idle domains.  \
-                 Verdicts and deterministic counters are identical to a serial run; \
-                 ignored (forced to 1) while --provenance is on.  Default 1 (off).")
-
 (* Shared logging flags.  [apply_logging] runs first in every command body
    so even flag-validation warnings respect the chosen threshold. *)
 let log_level_arg =
@@ -272,13 +254,12 @@ let progress_arg =
 let verify_cmd =
   let idx = Arg.(required & pos 0 (some int) None & info [] ~docv:"IDX") in
   Cmd.v (Cmd.info "verify" ~doc:"Verify one Table II pair")
-    Term.(const (fun dynamic deadline chaos_seed trace metrics provenance spec idx ->
-              warn_spec_provenance ~spec ~provenance;
+    Term.(const (fun dynamic deadline chaos_seed trace metrics provenance idx ->
               with_case idx (fun c ->
                   with_observability ~provenance ~trace ~metrics (fun () ->
-                      verdict_exit (run_one ~dynamic ?deadline ?chaos_seed ~spec c))))
+                      verdict_exit (run_one ~dynamic ?deadline ?chaos_seed c))))
           $ dynamic_arg $ deadline_arg $ chaos_seed_arg $ trace_arg $ metrics_arg
-          $ provenance_arg $ spec_jobs_arg $ idx)
+          $ provenance_arg $ idx)
 
 (* ------------------------------------------------------------------ *)
 (* verify-all: journaled, resumable batch verification. *)
@@ -310,7 +291,7 @@ let report_of = function Fresh r | Cached r -> r
    of pull order and of which worker runs the pair.  --poison arms only
    the worker-crash site (the poison-pair drill); --chaos-seed alone
    keeps the all-sites schedule of the registry path. *)
-let config_for_label ?(spec = 1) ?(chaos_sites = []) ~deadline ~chaos_seed ~poison label =
+let config_for_label ?(chaos_sites = []) ~deadline ~chaos_seed ~poison label =
   (* --poison is sugar for --chaos-site worker-crash=RATE; both compose
      into one named-sites injector (rate 0.0 base — only listed sites
      fire). *)
@@ -330,7 +311,7 @@ let config_for_label ?(spec = 1) ?(chaos_sites = []) ~deadline ~chaos_seed ~pois
           ~seed:(Faultinject.seed_for ~seed label)
           ~rate:0.0 ~site_rates ()
   in
-  { Octopocs.default_config with deadline_s = deadline; inject; spec_jobs = spec }
+  { Octopocs.default_config with deadline_s = deadline; inject }
 
 (* Test hook for the sandbox smoke job: the named pair allocates
    OCTOPOCS_OOM_MB MiB (default 512) in its worker just before its
@@ -592,7 +573,7 @@ let telemetry_path ~telemetry ~journal_path ~shards =
                 file lives beside it)"))
 
 let run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites ~journal_path
-    ~resume ~shards ~quarantine_path ~window ~poison ~spec ~isolate ~limits ~mem_watermark
+    ~resume ~shards ~quarantine_path ~window ~poison ~isolate ~limits ~mem_watermark
     ~metrics_on ~telemetry ~progress () =
   match Source.of_spec corpus with
   | Error msg -> structured_error "%s" msg
@@ -600,7 +581,7 @@ let run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites ~journa
       let m0 = Metrics.aggregate () in
       let t0 = Unix.gettimeofday () in
       let config_of label =
-        config_for_label ~spec ~chaos_sites ~deadline ~chaos_seed ~poison label
+        config_for_label ~chaos_sites ~deadline ~chaos_seed ~poison label
       in
       match open_stream_journals ~journal_path ~resume ~shards ~quarantine_path with
       | Error code -> code
@@ -747,10 +728,9 @@ let run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites ~journa
           !worst
 
 let run_all jobs retries deadline chaos_seed journal_path resume fail_fast stall_grace trace
-    metrics_on provenance_on spec corpus shards quarantine_path window poison isolate
+    metrics_on provenance_on corpus shards quarantine_path window poison isolate
     rlimit_as rlimit_cpu mem_watermark chaos_sites telemetry progress log_level log_json =
   apply_logging log_level log_json;
-  warn_spec_provenance ~spec ~provenance:provenance_on;
   let streaming =
     corpus <> "registry" || shards > 1 || quarantine_path <> None || window <> None
     || poison <> None
@@ -775,8 +755,6 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast stall
     structured_error
       "--stall-grace is not supported with --isolate proc (the parent's deadline-kill \
        covers wedged children)"
-  else if isolate = Octopocs.Processes && spec > 1 then
-    structured_error "--spec-jobs is not supported with --isolate proc"
   else if (not streaming) && telemetry <> None then
     structured_error "--telemetry is only supported in streaming corpus mode"
   else if (not streaming) && progress then
@@ -787,7 +765,7 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast stall
     | Ok tpath ->
         with_observability ~provenance:provenance_on ~trace ~metrics:metrics_on (fun () ->
             run_corpus ~corpus ~jobs ~retries ~deadline ~chaos_seed ~chaos_sites
-              ~journal_path ~resume ~shards ~quarantine_path ~window ~poison ~spec ~isolate
+              ~journal_path ~resume ~shards ~quarantine_path ~window ~poison ~isolate
               ~limits ~mem_watermark ~metrics_on ~telemetry:tpath ~progress ()))
   else begin
     with_observability ~provenance:provenance_on ~trace ~metrics:metrics_on @@ fun () ->
@@ -795,7 +773,7 @@ let run_all jobs retries deadline chaos_seed journal_path resume fail_fast stall
        the whole process, so the batch view is a diff, not an absolute. *)
     let m0 = Metrics.aggregate () in
     let t0 = Unix.gettimeofday () in
-    let config_of idx = config_for ~spec ~chaos_sites ~deadline ~chaos_seed idx in
+    let config_of idx = config_for ~chaos_sites ~deadline ~chaos_seed idx in
     let key_of (c : Registry.case) =
       Octopocs.content_key ~config:(config_of c.idx) ~s:c.s ~t:c.t ~poc:c.poc ()
     in
@@ -1099,7 +1077,7 @@ let verify_all_cmd =
          ])
     Term.(const run_all $ jobs $ retries $ deadline_arg $ chaos_seed_arg $ journal $ resume
           $ fail_fast $ stall_grace $ trace_arg $ metrics_arg $ provenance_arg
-          $ spec_jobs_arg $ corpus $ shards $ quarantine $ window $ poison $ isolate
+          $ corpus $ shards $ quarantine $ window $ poison $ isolate
           $ rlimit_as $ rlimit_cpu $ mem_watermark $ chaos_sites $ telemetry_arg
           $ progress_arg $ log_level_arg $ log_json_arg)
 

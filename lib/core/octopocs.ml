@@ -366,15 +366,6 @@ type config = {
   inject : Faultinject.t;
       (** deterministic fault injector for the chaos harness;
           {!Faultinject.none} (default) costs one tag test per site. *)
-  spec_jobs : int;
-      (** speculative loop-retry width for P2: with [spec_jobs > 1] (and
-          provenance off — speculation is forced off while it is on, since
-          the provenance ledger and probe callbacks are serial), the
-          directed executor runs up to [spec_jobs - 1] predicted retry
-          attempts ahead on the shared pool.  Verdicts, stats and
-          deterministic metrics counters are identical to a serial run by
-          construction, so this is a speed knob, not a semantic one — it
-          is excluded from {!content_key}.  Default 1 (off). *)
 }
 
 let default_config =
@@ -389,7 +380,6 @@ let default_config =
     deadline_s = None;
     ladder = true;
     inject = Faultinject.none;
-    spec_jobs = 1;
   }
 
 (** [failure_report msg] is the minimal report for a failure that happened
@@ -541,14 +531,10 @@ let run_attempt ~(config : config) ~(deadline : Deadline.t) ?ell ~(s : Isa.progr
                                   (Provenance.Loop_retry { func; pc; granted; theta }));
                           }
                     in
-                    (* Speculation is gated off whenever a probe exists
-                       (provenance on): the pin ledger and probe callbacks
-                       assume serial attempts. *)
-                    let spec_jobs = if probe = None then config.spec_jobs else 1 in
                     let outcome, stats =
                       Trace.with_span Trace.Symex "directed" @@ fun () ->
                       Directed.run ~config:config.symex ~sym_file_size:config.sym_file_size
-                        ?probe ~deadline ~spec_jobs t_sym ~ep ~cfg
+                        ?probe ~deadline t_sym ~ep ~cfg
                         ~on_ep:(place_bunches bunches)
                     in
                     let symex = Some stats in
@@ -774,10 +760,7 @@ let hash_program (p : Isa.program) = Compile.program_digest p
 (* Every config field that can change a verdict.  [inject] is deliberately
    excluded: fault injection perturbs a run, not the pair's identity — a
    resumed chaos batch must treat the journaled verdict of a fault-afflicted
-   pair as settled, exactly as the uninterrupted run would have.
-   [spec_jobs] is excluded for the same reason from the other side: a
-   speculative run produces the identical verdict, so serial and
-   speculative invocations must share journal entries. *)
+   pair as settled, exactly as the uninterrupted run would have. *)
 let config_fingerprint (c : config) =
   Marshal.to_string
     ( c.taint_mode,
@@ -1198,10 +1181,7 @@ type stream_stats = {
    restriction latches; joining does not lift it), so this scheduler
    spawns NO worker domains — its parallelism is process-level,
    multiplexing child pipes over one select loop — and callers must
-   reach it before the process's first Domain-mode batch.  The shared
-   pool is still shut down defensively on entry: on runtimes that only
-   require a single-domain process at fork time, that is what restores
-   forkability. *)
+   reach it before the process's first Domain-mode batch. *)
 
 type proc_active = {
   ac : Sandbox.child;
@@ -1229,7 +1209,6 @@ let run_child_payload cfg ~key pre_run j () =
 
 let proc_stream ~(config : config) ~retries ~window ?limits ?mem_watermark_mb ?pre_run
     ?on_settle ?on_quarantine (next : unit -> job option) : stream_stats =
-  Octo_util.Pool.shutdown_shared ();
   let limits = Option.value limits ~default:Sandbox.no_limits in
   let adm = Sandbox.Admission.create ?watermark_mb:mem_watermark_mb ~window () in
   let pulled = ref 0 and settled = ref 0 and quarantined = ref 0 in

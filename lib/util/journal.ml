@@ -40,21 +40,23 @@ let header = "OCTOJRNL1\n"
 let max_record_len = 64 * 1024 * 1024
 
 (* ------------------------------------------------------------------ *)
-(* CRC-32 (IEEE 802.3, the zlib polynomial), table-driven. *)
+(* CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.  The table is
+   built at module initialisation, never lazily: concurrent first forces
+   of a [lazy] from two domains raise [CamlinternalLazy.Undefined]. *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let t = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
-  String.iter (fun ch -> c := t.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
+  String.iter
+    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+    s;
   !c lxor 0xFFFFFFFF
 
 (* ------------------------------------------------------------------ *)

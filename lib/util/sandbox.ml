@@ -24,9 +24,7 @@
     must therefore be the process's FIRST parallel work: never run a
     Domain-mode batch (or create any pool) before the first {!spawn}.
     The process scheduler in [Octopocs] honours this by doing all its
-    parallelism at the process level, and still calls
-    {!Pool.shutdown_shared} defensively for runtimes that only require
-    a single-domain process at fork time. *)
+    parallelism at the process level. *)
 
 external setrlimit_as : int -> unit = "octo_setrlimit_as"
 external setrlimit_cpu : int -> unit = "octo_setrlimit_cpu"
@@ -87,29 +85,11 @@ let pp_death ppf = function
   | Other why -> Format.fprintf ppf "other(%s)" why
 
 (* ------------------------------------------------------------------ *)
-(* Pipe protocol: one frame per child, the journal's frame layout
-   ([len:u32le][crc32(payload):u32le][payload]) with the same CRC, so
-   torn-write tolerance is inherited rather than re-invented. *)
+(* Pipe protocol: one frame per child, encoded by the journal's own frame
+   codec ([len:u32le][crc32(payload):u32le][payload]), so torn-write
+   tolerance is inherited rather than re-invented. *)
 
-let frame payload =
-  let len = String.length payload in
-  let b = Buffer.create (len + 8) in
-  let put_u32 v =
-    Buffer.add_char b (Char.chr (v land 0xff));
-    Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-    Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-    Buffer.add_char b (Char.chr ((v lsr 24) land 0xff))
-  in
-  put_u32 len;
-  put_u32 (Journal.crc32 payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
-
-let u32le_at data off =
-  Char.code data.[off]
-  lor (Char.code data.[off + 1] lsl 8)
-  lor (Char.code data.[off + 2] lsl 16)
-  lor (Char.code data.[off + 3] lsl 24)
+let frame payload = Bytes.unsafe_to_string (Journal.frame payload)
 
 (** [parse_frame data] decodes the single frame a child wrote.  Total:
     every malformed input maps to [Error why], suitable for {!Torn}. *)
@@ -117,8 +97,8 @@ let parse_frame data =
   let n = String.length data in
   if n < 8 then Error (Printf.sprintf "short frame header (%d byte(s))" n)
   else begin
-    let len = u32le_at data 0 in
-    let crc = u32le_at data 4 in
+    let len = Journal.u32le_at data 0 in
+    let crc = Journal.u32le_at data 4 in
     if len < 0 || len > Journal.max_record_len then
       Error "implausible frame length"
     else if n < 8 + len then
@@ -174,12 +154,7 @@ let spawn ?(limits = no_limits) ?kill_after_s ?(die = `None) f =
            | Out_of_memory -> Unix._exit oom_exit_code
            | e -> exn_prefix ^ Printexc.to_string e
          in
-         let fr = Bytes.unsafe_of_string (frame payload) in
-         let n = Bytes.length fr in
-         let off = ref 0 in
-         while !off < n do
-           off := !off + Unix.write w fr !off (n - !off)
-         done;
+         Journal.write_all w (Journal.frame payload);
          Unix.close w;
          Unix._exit 0
        with _ -> Unix._exit 1)

@@ -285,6 +285,80 @@ let stream_without_handler_settles_failure () =
       check Alcotest.string "failure class" "Failure" (O.verdict_class r.O.verdict)
   | None -> Alcotest.fail "no report"
 
+let stream_parallel_worker_resubmit () =
+  (* Domain mode with two workers: a failed attempt is resubmitted from the
+     worker domain that ran it.  Flaky jobs raise on their first attempt
+     only and must settle on the second; poison jobs raise on every attempt
+     and must be quarantined after two.  Every pulled job ends exactly once,
+     in exactly one of the two callbacks. *)
+  let c = Octo_targets.Registry.find 1 in
+  let poison = poison_config () in
+  let lock = Mutex.create () in
+  let seen = Hashtbl.create 16 in
+  let bump tbl label =
+    Mutex.lock lock;
+    let n = 1 + Option.value (Hashtbl.find_opt tbl label) ~default:0 in
+    Hashtbl.replace tbl label n;
+    Mutex.unlock lock;
+    n
+  in
+  let pre_run j =
+    let label = O.job_label j in
+    if bump seen label = 1 && String.starts_with ~prefix:"flaky" label then
+      failwith ("first attempt of " ^ label)
+  in
+  let labels =
+    List.init 6 (fun i -> Printf.sprintf "flaky%d" i)
+    @ List.init 2 (fun i -> Printf.sprintf "poison%d" i)
+  in
+  let pending = ref labels in
+  let next () =
+    match !pending with
+    | [] -> None
+    | label :: rest ->
+        pending := rest;
+        let config = if String.starts_with ~prefix:"poison" label then Some poison else None in
+        Some
+          (O.job ?config ~label ~s:c.Octo_targets.Registry.s ~t:c.Octo_targets.Registry.t
+             ~poc:c.Octo_targets.Registry.poc ())
+  in
+  let ended = Hashtbl.create 16 in
+  let classes = ref [] in
+  let quarantined = ref [] in
+  let st =
+    O.run_stream ~jobs:2 ~retries:1 ~pre_run
+      ~on_settle:(fun j r ->
+        ignore (bump ended (O.job_label j));
+        Mutex.lock lock;
+        classes := O.verdict_class r.O.verdict :: !classes;
+        Mutex.unlock lock)
+      ~on_quarantine:(fun q ->
+        ignore (bump ended q.O.qlabel);
+        Mutex.lock lock;
+        quarantined := q :: !quarantined;
+        Mutex.unlock lock)
+      next
+  in
+  check Alcotest.int "pulled" 8 st.O.st_pulled;
+  check Alcotest.int "settled" 6 st.O.st_settled;
+  check Alcotest.int "quarantined" 2 st.O.st_quarantined;
+  check Alcotest.int "pulled = settled + quarantined" st.O.st_pulled
+    (st.O.st_settled + st.O.st_quarantined);
+  List.iter
+    (fun label ->
+      check Alcotest.(option int) (label ^ " ended once") (Some 1) (Hashtbl.find_opt ended label))
+    labels;
+  List.iter
+    (fun label ->
+      check Alcotest.(option int) (label ^ " attempts") (Some 2) (Hashtbl.find_opt seen label))
+    labels;
+  check Alcotest.(list string) "settled classes" (List.init 6 (fun _ -> "Type-I")) !classes;
+  check
+    Alcotest.(list string)
+    "quarantined labels" [ "poison0"; "poison1" ]
+    (List.sort compare (List.map (fun q -> q.O.qlabel) !quarantined));
+  List.iter (fun q -> check Alcotest.int "quarantine attempts" 2 q.O.qattempts) !quarantined
+
 let quarantine_codec_roundtrip () =
   let q =
     {
@@ -330,6 +404,7 @@ let suite =
     tc "stream: parallel bounded window" stream_parallel_bounded_window;
     tc "stream: quarantines poison" stream_quarantines_poison;
     tc "stream: no handler settles failure" stream_without_handler_settles_failure;
+    tc "stream: parallel retry resubmits from a worker" stream_parallel_worker_resubmit;
     tc "quarantine codec: roundtrip" quarantine_codec_roundtrip;
     tc "quarantine codec: rejects junk" quarantine_codec_rejects_junk;
   ]

@@ -189,6 +189,28 @@ let crc32_check_value () =
   (* The CRC-32/IEEE check value from the rocksoft catalogue. *)
   check Alcotest.int "crc32(123456789)" 0xCBF43926 (Journal.crc32 "123456789")
 
+let crc32_concurrent_domains () =
+  (* Sharded journal appends compute CRCs on several domains at once, so
+     the CRC table must be safe to read from freshly spawned domains that
+     all start together; a lazily built table raises
+     [CamlinternalLazy.Undefined] under this race.  The barrier releases
+     every domain at the same moment. *)
+  let n = 4 in
+  let arrived = Atomic.make 0 in
+  let spawn () =
+    Domain.spawn (fun () ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < n do
+          Domain.cpu_relax ()
+        done;
+        List.init 200 (fun _ -> Journal.crc32 "123456789"))
+  in
+  let domains = List.init n (fun _ -> spawn ()) in
+  List.iter
+    (fun d ->
+      List.iter (check Alcotest.int "crc32(123456789)" 0xCBF43926) (Domain.join d))
+    domains
+
 (* ------------------------------------------------------------------ *)
 (* Verdict record codec *)
 
@@ -715,6 +737,7 @@ let suite =
     tc "journal: injected torn write poisons the writer" journal_injected_torn_write;
     tc "journal: append after close rejected, close idempotent" journal_append_after_close_rejected;
     tc "journal: crc32 reference check value" crc32_check_value;
+    tc "journal: crc32 from concurrent fresh domains" crc32_concurrent_domains;
     tc "codec: every verdict shape roundtrips" codec_roundtrip;
     tc "codec: malformed records decode to None" codec_rejects_malformed;
     tc "cache: content key stable, sensitive, inject-blind" content_key_stable_and_sensitive;

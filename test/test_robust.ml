@@ -290,45 +290,6 @@ let submit_shutdown_race () =
   check Alcotest.int "every submit settled" 2000 (accepted + rejected);
   check Alcotest.int "accepted = executed" accepted (Atomic.get executed)
 
-let future_settles_value_and_error () =
-  let p = Pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let a = Pool.future p (fun () -> 6 * 7) in
-      let b = Pool.future p (fun () -> failwith "boom") in
-      (match Pool.await p a with
-      | Ok 42 -> ()
-      | Ok v -> Alcotest.failf "expected 42, got %d" v
-      | Error (e, _) -> Alcotest.failf "unexpected error: %s" (Printexc.to_string e));
-      match Pool.await p b with
-      | Error (Failure m, _) -> check Alcotest.string "error carried to await" "boom" m
-      | _ -> Alcotest.fail "expected the task's exception at await")
-
-let await_helps_nested_fanout () =
-  (* Futures spawned from inside a pool task and awaited there must not
-     deadlock even with a single worker: the awaiting domain pops and runs
-     queued tasks itself while it waits. *)
-  let p = Pool.create ~jobs:1 in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let outer =
-        Pool.future p (fun () ->
-            let inner = List.init 8 (fun i -> Pool.future p (fun () -> i * i)) in
-            List.fold_left
-              (fun acc f ->
-                match Pool.await p f with Ok v -> acc + v | Error (e, _) -> raise e)
-              0 inner)
-      in
-      match Pool.await p outer with
-      | Ok v -> check Alcotest.int "nested fan-out sum" 140 v
-      | Error (e, _) -> Alcotest.failf "unexpected: %s" (Printexc.to_string e))
-
-let shared_pool_is_memoized () =
-  let a = Pool.shared () and b = Pool.shared () in
-  check Alcotest.bool "one process-global pool" true (a == b)
-
 (* ------------------------------------------------------------------ *)
 (* Batch crash isolation (the acceptance scenario) *)
 
@@ -551,9 +512,6 @@ let suite =
     tc "pool: map raises first error in input order" map_still_raises_first_error;
     tc "pool: retry absorbs a transient fault" retry_absorbs_transient_fault;
     tc "pool: submit/shutdown race settles every submit" submit_shutdown_race;
-    tc "pool: futures settle values and errors" future_settles_value_and_error;
-    tc "pool: await helps nested fan-out on one worker" await_helps_nested_fanout;
-    tc "pool: shared pool is memoized" shared_pool_is_memoized;
     tc "batch: crash + deadline isolated, 15 labelled reports" run_all_isolates_crash_and_deadline;
     tc "batch: retry rescues a transient worker crash" run_all_retry_rescues_transient_crash;
     tc "inject: deterministic per seed" injection_deterministic;
